@@ -3,14 +3,17 @@
 Run from the root of a checkout; the package is imported from ``src/`` and
 nothing needs installing:
 
-    python3 bench/run.py --workload quantize --seed 0 --seconds 15 --trace 0
+    python3 bench/run.py --workload quantize --seed 0 --seconds 30 --trace 0
 
 Each workload is a fixed cycle of operations made from ``--seed``.  The run
 repeats whole cycles until ``--seconds`` of operations have run, so every
-run times the same mix.  Every operation's output is checked: at the default seed against
-``bench/pinned.json``, at any seed against its own first run in this
-process and against the workload's invariants.  ``bench/README.md`` says why each
-workload exists and which per-layer figure should move which end-to-end one.
+run times the same mix.  The single-threaded workloads are pinned to one
+CPU, and every operation and set-up probe is timed next to a fixed reference
+computation (``calibrate.py``), so that their timings do not move with other
+tenants of the machine.  Every operation's output is checked: at the
+default seed against ``bench/pinned.json``, at any seed against its own
+first run in this process and against the workload's invariants.  ``bench/README.md`` says why each workload exists and which
+per-layer figure should move which end-to-end one.
 
 ``--trace 0`` reports the end-to-end metrics of ``BENCHMARK.json``;
 ``--trace 1`` alternates untraced and traced passes of one cycle and reports
@@ -42,6 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
+from calibrate import REFERENCE_S, Calibrator
 from tracing import Tracer
 
 BENCH_DIR = Path(__file__).resolve().parent
@@ -49,28 +53,36 @@ ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 PINS_PATH = BENCH_DIR / "pinned.json"
 DEFAULT_SEED = 0
-SETUP_PROBES = 5
+SETUP_PROBES = 7
 
-# quantize: few long searches (2^16 words each) against one code per command.
+# Operations are kept short (about 0.3 s), so that a run repeats each of them
+# fifteen times or more.
+# quantize: one long search (2^16 words) against one code per command.
 QUANTIZE_CODE = ["--n", "32", "--m", "24", "--k", "8", "--d-top", "4",
                  "--dv", "3", "--dc-prime", "9"]
-QUANTIZE_TRIALS = 4
+QUANTIZE_TRIALS = 1
 QUANTIZE_COMMANDS = 3
 # ensemble: the `verify moments` shape, a fresh code every trial.
 MOMENT_SHAPE = dict(n=20, m=10, k=5, d_top=3, dv=3, dc_prime=6)
 MOMENT_D = 0.2
-MOMENT_TRIALS = 300
+MOMENT_TRIALS = 100
 MOMENT_CALLS = 3
 # pipelines: every side-information pipeline and decoder at the CLI
-# defaults, with the trial counts spelled out so the size cannot drift.
+# defaults, with the trial counts spelled out so the size cannot drift.  The
+# counts are below the CLI's 200 so that every command takes about as long.
 PIPELINE_COMMANDS = [
     ["simulate", "channel", "--trials", "100"],
-    ["simulate", "scsi", "--decoder", "ml", "--trials", "200", "--dump-traces"],
-    ["simulate", "scsi", "--decoder", "threshold", "--trials", "200", "--dump-traces"],
-    ["simulate", "ccsi", "--decoder", "ml", "--trials", "200", "--dump-traces"],
-    ["simulate", "ccsi", "--decoder", "threshold", "--trials", "200", "--dump-traces"],
+    ["simulate", "scsi", "--decoder", "ml", "--trials", "100", "--dump-traces"],
+    ["simulate", "scsi", "--decoder", "threshold", "--trials", "100", "--dump-traces"],
+    ["simulate", "ccsi", "--decoder", "ml", "--trials", "40", "--dump-traces"],
+    ["simulate", "ccsi", "--decoder", "threshold", "--trials", "120", "--dump-traces"],
 ]
 PIPELINE_THREADS = "2"
+# Workloads that run on one thread, and so are pinned to one CPU and
+# calibrated.  pipelines is not: pinning its two threads to one CPU would hide
+# the cost of handing the interpreter lock between cores, and a one-core
+# reference cannot follow a load spread over two.
+CALIBRATED_WORKLOADS = ("quantize", "ensemble")
 
 
 class BenchError(RuntimeError):
@@ -219,11 +231,12 @@ def load_pins(workload: str, ops: list) -> dict:
 
 
 def run_op(op, pkg, workdir: Path) -> Outcome:
+    t0 = perf_counter()
     try:
         return op.run(pkg, workdir)
     except Exception as exc:  # one broken operation must not end the run
         traceback.print_exc()
-        return Outcome(0.0, problems=[f"raised {exc!r}"])
+        return Outcome(perf_counter() - t0, problems=[f"raised {exc!r}"])
 
 
 def run_pass(ops, pkg, workdir, checker, tracer=None) -> list[Outcome]:
@@ -411,26 +424,44 @@ def setup_probe(workload: str, seed: int) -> float:
     return elapsed
 
 
-def run_timed(ops, pkg, workdir, checker, seconds, probe) -> tuple[list, list]:
+def run_timed(ops, pkg, workdir, checker, seconds, probe, cal) -> tuple[list, list]:
     """Repeat whole cycles until ``seconds`` of operations have run.
 
-    Setup probes run between cycles, spread evenly over the run, so that a
-    slow spell of the machine shifts set-up samples no more than it shifts
-    operation times.  Returns each operation's times, in cycle order, and
-    the setup samples.
+    Setup probes run between cycles, spread evenly over the run.  With a
+    calibrator, every operation and probe is followed by a reference timing.
+    Returns each operation's (raw, calibrated) times, in cycle order, and the
+    (raw, calibrated) setup samples; without a calibrator both are raw.
     """
     times = [[] for _ in ops]
     setup = []
     op_s = 0.0
+
+    def factor() -> float:
+        return cal.factor() if cal is not None else 1.0
+
+    def setup_sample():
+        elapsed = probe()
+        setup.append((elapsed, elapsed * factor()))
+
     while not times[0] or op_s < seconds:
-        for op_times, outcome in zip(times, run_pass(ops, pkg, workdir, checker)):
-            op_times.append(outcome.seconds)
+        for op, op_times in zip(ops, times):
+            outcome = run_op(op, pkg, workdir)
+            op_times.append((outcome.seconds, outcome.seconds * factor()))
+            checker.check(op, outcome)
             op_s += outcome.seconds
         if op_s >= len(setup) * seconds / SETUP_PROBES:
-            setup.append(probe())
+            setup_sample()
     while len(setup) < SETUP_PROBES:
-        setup.append(probe())
+        setup_sample()
     return times, setup
+
+
+def pin_to_one_cpu() -> int:
+    """Run this process, its threads and the setup probes on one CPU, so that
+    the reference timings see the same core as the operations."""
+    cpu = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    return cpu
 
 
 def environment() -> dict:
@@ -462,7 +493,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=("quantize", "ensemble", "pipelines"))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--write-pins", action="store_true")
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
@@ -477,6 +508,9 @@ def main(argv=None) -> int:
     if ns.write_pins and ns.seed != DEFAULT_SEED:
         raise BenchError(f"pins are for the default seed {DEFAULT_SEED} only")
     units = declared_metrics(bool(ns.trace))
+    env = environment()
+    calibrated = ns.workload in CALIBRATED_WORKLOADS
+    env["pinned_cpu"] = pin_to_one_cpu() if calibrated else None
     pkg = import_package()
     ops = build_ops(ns.workload, ns.seed)
     workdir = ROOT / ".bench_work" / str(os.getpid())
@@ -488,39 +522,59 @@ def main(argv=None) -> int:
         if ns.trace:
             metrics, drift = run_traced(ops, pkg, workdir, checker, ns.seconds)
         else:
+            cal = Calibrator() if calibrated else None
             times, setup = run_timed(ops, pkg, workdir, checker, ns.seconds,
-                                     lambda: setup_probe(ns.workload, ns.seed))
+                                     lambda: setup_probe(ns.workload, ns.seed), cal)
             drift = []
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         with contextlib.suppress(OSError):
             workdir.parent.rmdir()
 
-    notes = {}
+    notes, unbounded = {}, []
     if not ns.trace:
-        op_s = [t for op_times in times for t in op_times]
+        op_s = [t for op_times in times for _, t in op_times]
         cycle_trials = sum(op.trials for op in ops)
-        cycle_s = sum(statistics.median(op_times) for op_times in times)
+        cycle_s = sum(statistics.median(t for _, t in op_times) for op_times in times)
+        how = "calibrated" if calibrated else "raw"
+        n = f"n={len(op_s)}"
         metrics = {
-            "setup_s": statistics.median(setup),
+            "setup_s": statistics.median(t for _, t in setup),
             "trials_per_s": cycle_trials / cycle_s,
             "op_s_p50": statistics.median(op_s),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }
         notes = {
-            "setup_s": f"median of {len(setup)} fresh processes",
-            "trials_per_s": f"{cycle_trials} trials per cycle over {cycle_s:.4g} s, "
-                            f"each operation at its median of {len(times[0])} cycles",
-            "op_s_p50": f"median of n={len(op_s)} operations",
+            "setup_s": f"{how} median of {len(setup)} fresh processes",
+            "trials_per_s": f"{cycle_trials} trials per cycle over {cycle_s:.4g} s, each "
+                            f"operation at its {how} median of {len(times[0])} cycles",
+            "op_s_p50": f"{how} median of {n} operations",
         }
+        # Reported but not bounded: the tail, and the raw figures of a
+        # calibrated run, which move with the other tenants of the machine.
+        unbounded = [("op_s_p90", statistics.quantiles(op_s, n=10)[-1], "s",
+                      f"{how} 90th percentile of {n} operations")]
+        if calibrated:
+            raw = [t for op_times in times for t, _ in op_times]
+            unbounded += [
+                ("raw.setup_s", statistics.median(t for t, _ in setup), "s", "uncalibrated"),
+                ("raw.op_s_p50", statistics.median(raw), "s", f"uncalibrated, {n}"),
+                ("raw.op_s_p90", statistics.quantiles(raw, n=10)[-1], "s",
+                 f"uncalibrated, {n}"),
+                ("raw.reference_s", statistics.median(cal.reference_s), "s",
+                 f"median of {len(cal.reference_s)} reference timings; "
+                 f"quiet: {REFERENCE_S} s"),
+            ]
     if set(metrics) != set(units):
         raise BenchError(f"metrics {sorted(set(metrics) ^ set(units))} do not match "
                          "BENCHMARK.json")
 
     print(f"workload {ns.workload}  seed {ns.seed}  trace {ns.trace}")
-    print("env " + json.dumps(environment(), sort_keys=True))
+    print("env " + json.dumps(env, sort_keys=True))
     for name, unit in units.items():
         print(f"{name:<40} {metrics[name]:<14.6g} {unit:<6} {notes.get(name, '')}")
+    for name, value, unit, note in unbounded:
+        print(f"{name:<40} {value:<14.6g} {unit:<6} {note} (not bounded)")
     print(f"{'ops_failed_frac':<40} {checker.failed / checker.attempted:<14.6g} "
           f"{'ratio':<6} {checker.failed} failed of {checker.attempted} attempted")
     print("outputs checked against " + (
