@@ -27,7 +27,6 @@ from .codec import (
     EnumerationCapError,
     channel_decode_ml,
     channel_decode_threshold,
-    enumerate_codewords,
     moment_experiment,
     source_encode_exhaustive,
 )
@@ -250,7 +249,6 @@ def _write_rows_csv(path: Path, header: str, rows) -> Path:
 
 def cmd_simulate_rd(ns) -> int:
     code = _build_code(ns)
-    rows = []
 
     def worker(i: int):
         rng = trial_rng(ns.seed, i)
@@ -494,40 +492,36 @@ def _verify_partition(seed: int) -> list[dict]:
 def _run_partition_check(lines: list[dict], code: CompoundCode) -> bool:
     from itertools import product
 
+    from .codec import _span_blocks
     from .ensembles import coset_code
 
-    groups: dict[bytes, set[bytes]] = {}
-    total = 0
-    for y, _ in enumerate_codewords(code, "h1"):
-        groups.setdefault(matvec(code.H2, y).key(), set()).add(y.key())
-        total += 1
+    def rows(y0, basis):
+        return np.concatenate(list(_span_blocks(y0, basis)), axis=1).T
+
+    # Every H1-null word next to its H2 syndrome, both in the same Gray order.
+    basis = code.null_basis_H1
+    words = rows(BitVector.zeros(code.m), basis)
+    syndromes = rows(BitVector.zeros(code.k2), [matvec(code.H2, b) for b in basis])
     ok = True
     covered = 0
     feasible = 0
     for bits in product((0, 1), repeat=code.k2):
         m_bits = BitVector.from_bits(bits)
+        in_group = (syndromes == m_bits._words).all(axis=1)
         coset = coset_code(code, m_bits)
         if not coset.feasible:
             ok &= _check(lines, f"syndrome {m_bits.to_string()}",
-                         m_bits.key() not in groups,
+                         not in_group.any(),
                          "infeasible and absent from enumeration")
             continue
         feasible += 1
-        members = set()
-        y = coset.y0
-        members.add(y.key())
-        dim = len(coset.basis)
-        for i in range(1, 1 << dim):
-            j = (i & -i).bit_length() - 1
-            y = y ^ coset.basis[j]
-            members.add(y.key())
-        expected = groups.get(m_bits.key(), set())
+        members = np.unique(rows(coset.y0, coset.basis), axis=0)
         ok &= _check(lines, f"coset {m_bits.to_string()}",
-                     members == expected,
+                     np.array_equal(members, np.unique(words[in_group], axis=0)),
                      f"{len(members)} members match enumeration")
         covered += len(members)
-    ok &= _check(lines, "disjoint union covers null(H1)", covered == total,
-                 f"{covered} coset members vs {total} H1-null vectors "
+    ok &= _check(lines, "disjoint union covers null(H1)", covered == len(words),
+                 f"{covered} coset members vs {len(words)} H1-null vectors "
                  f"({feasible} feasible syndromes)")
     return ok
 
@@ -570,19 +564,22 @@ def cmd_verify(ns) -> int:
 
 def cmd_replay(ns) -> int:
     manifest = json.loads(Path(ns.manifest).read_text())
-    sub = manifest["subcommand"]
-    params = dict(manifest["params"])
+    try:
+        handler, parser_defaults = _REPLAYABLE[manifest["subcommand"]]
+        params, old_base = dict(manifest["params"]), manifest["out_basename"]
+        digests = manifest["outputs"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"cannot replay {ns.manifest}: no replayable subcommand, "
+                         f"params, out_basename and outputs ({exc!r})") from None
     out_prefix = ns.out if ns.out else str(Path(ns.manifest).parent / "replay")
     params["out"] = out_prefix
-    handler, parser_defaults = _REPLAYABLE[sub]
     namespace = argparse.Namespace(**{**parser_defaults, **params})
     rc = handler(namespace)
     if rc != EXIT_OK:
         return rc
-    old_base = manifest["out_basename"]
     new_base = Path(out_prefix).name
     all_ok = True
-    for name, digest in manifest["outputs"].items():
+    for name, digest in digests.items():
         new_name = new_base + name[len(old_base):]
         new_path = Path(out_prefix).parent / new_name
         ok = new_path.exists() and _sha256(new_path) == digest

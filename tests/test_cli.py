@@ -192,3 +192,18 @@ def test_exit_code_infeasible_plan(tmp_path):
     # explicit invalid split: k1 + k2 exceeds m
     assert run(["simulate", "scsi", "--k1", 30, "--k2", 4, "--trials", 1,
                 "--out", tmp_path / "y"]) == 2
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc.update(subcommand="simulate.nope"), "'simulate.nope'"),
+    (lambda doc: doc.pop("outputs"), "'outputs'"),
+])
+def test_exit_code_malformed_manifest(tmp_path, capsys, edit, message):
+    assert run(["simulate", "rd", "--trials", 1, "--seed", 2,
+                "--out", tmp_path / "m1"]) == 0
+    manifest_path = tmp_path / "m1_manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    edit(doc)
+    manifest_path.write_text(json.dumps(doc))
+    assert run(["replay", manifest_path, "--out", tmp_path / "m2"]) == 2
+    assert message in capsys.readouterr().err
